@@ -30,7 +30,9 @@ def test_bench_decider_scaling(benchmark, table_writer):
     # ragged rows, so declare the cutoff as an explicitly empty cell.
     headers = list(fmt[0].keys())
     fmt = [{h: row.get(h, "") for h in headers} for row in fmt]
-    table_writer("E11_complexity", "decider runtime scaling (ms)", fmt)
+    table_writer(
+        "E11_complexity", "decider runtime scaling (ms)", fmt, wallclock=True
+    )
     # Polynomial deciders stay usable at sizes where the exact ones were
     # already cut off.
     large = fmt[-1]
@@ -69,5 +71,6 @@ def test_bench_mvsr_engine_ablation(benchmark, table_writer):
 
     rows = benchmark.pedantic(ablation, rounds=1, iterations=1)
     table_writer(
-        "E11_mvsr_ablation", "MVSR engines: choice search vs SAT", rows
+        "E11_mvsr_ablation", "MVSR engines: choice search vs SAT", rows,
+        wallclock=True,
     )

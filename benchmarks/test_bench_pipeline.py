@@ -183,5 +183,6 @@ def test_bench_pipeline(benchmark, table_writer, bench_document_writer):
         "pipelined planner vs sequential batch planner "
         f"({N_TXNS} txns, 4 workers, batch 64)",
         rows,
+        wallclock=True,
     )
     bench_document_writer("e18", results)

@@ -182,5 +182,6 @@ def test_bench_planner(benchmark, table_writer, bench_document_writer):
         "abort-free batch planner vs serial engine and shard runtime "
         f"({N_TXNS} txns)",
         rows,
+        wallclock=True,
     )
     bench_document_writer("e17", results)

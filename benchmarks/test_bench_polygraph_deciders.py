@@ -69,7 +69,8 @@ def test_bench_polygraph_decider_ablation(benchmark, table_writer):
 
     rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     table_writer(
-        "E6b_polygraph_deciders", "backtracking vs SAT encoding", rows
+        "E6b_polygraph_deciders", "backtracking vs SAT encoding", rows,
+        wallclock=True,
     )
     for row in rows:
         assert row["agreement"] == f"{row['instances']}/{row['instances']}"

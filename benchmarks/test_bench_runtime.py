@@ -112,5 +112,6 @@ def test_bench_runtime(benchmark, table_writer, bench_document_writer):
         "parallel shard runtime vs serial engine "
         f"({N_TXNS} txns, sharded bank)",
         rows,
+        wallclock=True,
     )
     bench_document_writer("e16", results)

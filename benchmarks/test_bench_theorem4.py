@@ -86,4 +86,5 @@ def test_bench_theorem4_scaling(benchmark, table_writer):
         "E6_theorem4_scaling",
         "exact OLS vs polynomial MVCSR on growing instances",
         rows,
+        wallclock=True,
     )

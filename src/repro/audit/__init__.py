@@ -9,8 +9,9 @@ installed chain position — and the auditor folds them back into a
 (:class:`ScheduleReconstructor`), checks the structural invariants the
 engines promise (version-chain integrity, reads-from consistency, the
 group-commit recoverability rule), and certifies 1-serializability of
-every epoch with the polygraph decider
-(:func:`repro.classes.mvsr.is_mvsr_fixed`).  This is Jepsen/Cobra-style
+every epoch with :func:`repro.classes.mvsr.is_mvsr_fixed` (the
+serialization graph under the installed version order first, the
+paper's polygraph decider when that graph has a cycle).  This is Jepsen/Cobra-style
 black-box checking turned inward: the run's *actual produced schedule*
 is reconstructed and judged, online (a tracer subscriber) or post-hoc
 (an exported JSONL trace), in every mode.

@@ -3,10 +3,10 @@
 Drives a :class:`~repro.audit.reconstruct.ScheduleReconstructor` and
 certifies every segment the moment it closes: the reconstructed epoch
 schedule, with its observed reads-from relation pinned per read, goes
-through :func:`repro.classes.mvsr.is_mvsr_fixed` — the paper's
-polygraph decider.  A pass means a serial order exists in which every
-read is served exactly the version the run actually served it — 1-SR,
-certified from the trace rather than assumed from the scheduler.
+through :func:`repro.classes.mvsr.is_mvsr_fixed`.  A pass means a
+serial order exists in which every read is served exactly the version
+the run actually served it — 1-SR, certified from the trace rather
+than assumed from the scheduler.
 
 Structural violations (reads-from consistency, version-chain
 integrity, the recoverability commit rule) are detected during
@@ -15,9 +15,19 @@ by the decider (a forged reads-from relation makes its verdict
 meaningless).  Drops void everything: an incomplete stream certifies
 nothing, which is why audited runs use an unbounded event log.
 
-Epochs keep certification tractable: the NP-complete decision runs on
-epoch-sized instances with every read pinned, where the polygraph
-backtracker's propagation almost always resolves without search.
+Certification runs in two passes.  The first takes the version order
+the run installed — each writer's first write of an entity, in step
+order, which the reconstructor's ``chain-regression`` check holds the
+engines to — and checks that the multiversion serialization graph
+under it (Bernstein & Goodman's MVSG) is acyclic: O(V+E) on a digraph
+with an incremental topological order, and it certifies every clean
+segment of every mode.  Only when that graph has a cycle does the
+paper's polygraph search decide.  It must stay: another version order
+may still serialize the pinned reads, and finding one is the
+NP-complete problem; on epoch-sized instances with every read pinned
+its propagation almost always resolves without search.  The first
+pass's graph is one compatible digraph of the search's polygraph, so
+verdicts (and report bytes) are the search's own.
 """
 
 # repro: deterministic-contract — equal seeds must yield byte-identical output

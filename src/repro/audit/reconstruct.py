@@ -32,7 +32,7 @@ in; certification is the :class:`repro.audit.auditor.Auditor`'s job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.model.schedules import Schedule, T_INIT
 from repro.model.steps import Step, read, write
@@ -44,9 +44,9 @@ _EPOCH_CLOSE = "epoch.close"
 _SETTLE_BATCH = "settle.batch"
 
 
-@dataclass(frozen=True)
-class DataOp:
-    """One data operation as the trace recorded it."""
+class DataOp(NamedTuple):
+    """One data operation as the trace recorded it (a tuple: the fold
+    builds one per data event)."""
 
     kind: str  # "R" | "W"
     txn: str
@@ -125,12 +125,12 @@ class ScheduleReconstructor:
             track = self._track(event.track)
             args = event.args
             track.ops.append(DataOp(
-                kind="R" if name == "txn.read" else "W",
-                txn=str(args.get("txn")),
-                seq=args.get("seq"),
-                entity=str(args.get("entity")),
-                pos=args.get("pos"),
-                writer=args.get("writer"),
+                "R" if name == "txn.read" else "W",
+                str(args.get("txn")),
+                args.get("seq"),
+                str(args.get("entity")),
+                args.get("pos"),
+                args.get("writer"),
             ))
         elif name == "txn.commit":
             track = self._track(event.track)

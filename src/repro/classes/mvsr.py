@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.graphs.digraph import Digraph
 from repro.graphs.polygraph import Polygraph
 from repro.model.schedules import Schedule, T_FINAL, T_INIT
 from repro.model.steps import Entity, TxnId
@@ -188,22 +189,99 @@ def all_mvsr_serializations(schedule: Schedule) -> list[list[TxnId]]:
 def is_mvsr_fixed(
     schedule: Schedule, fixed: dict[int, TxnId] | None = None
 ) -> bool:
-    """MVSR with (optionally) pinned read sources, via choice search.
+    """MVSR with (optionally) pinned read sources.
 
     Decides whether a serial order exists in which every non-own read's
     source is the last earlier writer of its entity and is realizable in
     ``s`` — with reads listed in ``fixed`` pinned to the given source
-    transaction.  Unlike the order-enumeration DFS this searches the
-    *choice* space: selecting source ``w`` for a read by ``t`` contributes
-    the precedence arc ``w -> t`` plus, per other writer ``k`` of the
-    entity, the polygraph choice "``k`` before ``w`` or after ``t``"; the
-    polygraph backtracker's propagation then prunes whole order families
-    at once.  This is what makes the Theorem 4/5 instances (dozens of
-    transactions, heavily forced reads) tractable.
+    transaction.  Two passes:
+
+    1. When every non-own read is pinned, the multiversion serialization
+       graph under the installed version order (each writer's first
+       write of an entity, in step order — Bernstein & Goodman's MVSG)
+       is one compatible digraph of the polygraph the second pass
+       builds; if it is acyclic, ``s`` is MVSR
+       (:func:`_installed_order_certifies`).
+    2. Otherwise, or when that graph has a cycle, the paper's polygraph
+       search decides (:func:`_polygraph_search`).  A cycle under one
+       version order does not refute MVSR — another order may serialize
+       — and the general problem is NP-complete, so the search stays.
     """
     core = _core(schedule)
     fixed = fixed or {}
+    return _installed_order_certifies(core, fixed) or _polygraph_search(
+        core, fixed
+    )
 
+
+def _installed_order_certifies(
+    core: Schedule, fixed: dict[int, TxnId]
+) -> bool:
+    """First pass: is the MVSG under the installed version order acyclic?
+
+    Applies only when every non-own read is pinned to a realizable
+    source; returns False when it does not apply or the graph has a
+    cycle, and never claims more than :func:`_polygraph_search` would.
+    For a read by ``t`` of ``x`` from ``s`` the graph holds ``s -> t``
+    and, per other writer ``k`` of ``x``, ``k -> s`` when ``k``'s first
+    write of ``x`` precedes ``s``'s and ``t -> k`` otherwise — one branch
+    of each of the search's choices (``T0`` has only out-arcs there, so
+    it is left out).  Arcs go in through
+    :meth:`~repro.graphs.digraph.Digraph.add_arcs_if_acyclic`, each
+    guarded by ``would_close_cycle``.
+    """
+    #: entity -> writer -> rank of its first write of the entity.
+    rank: dict[Entity, dict[TxnId, int]] = {}
+    own: set[tuple[TxnId, Entity]] = set()
+    reads: list[tuple[TxnId, Entity, TxnId]] = []
+    for i, step in enumerate(core.steps):
+        t, e = step.txn, step.entity
+        if step.is_write:
+            own.add((t, e))
+            ranks = rank.setdefault(e, {})
+            if t not in ranks:
+                ranks[t] = len(ranks)
+            continue
+        source = fixed.get(i)
+        if (t, e) in own:
+            if source is not None and source != t:
+                return False
+            continue
+        if source is None:
+            return False  # a free read needs the search
+        if source != T_INIT and source not in rank.get(e, ()):
+            return False  # source has not written e before the read
+        reads.append((t, e, source))
+
+    graph = Digraph(core.txn_ids)
+    for t, e, source in reads:
+        ranks = rank.get(e, {})
+        if source == T_INIT:
+            arcs = [(t, k) for k in ranks if k != t]
+        else:
+            before = ranks[source]
+            arcs = [(source, t)]
+            arcs.extend(
+                (k, source) if r < before else (t, k)
+                for k, r in ranks.items()
+                if k != source and k != t
+            )
+        if not graph.add_arcs_if_acyclic(arcs):
+            return False
+    return True
+
+
+def _polygraph_search(core: Schedule, fixed: dict[int, TxnId]) -> bool:
+    """Second pass: the paper's polygraph decider, via choice search.
+
+    Unlike the order-enumeration DFS this searches the *choice* space:
+    selecting source ``w`` for a read by ``t`` contributes the
+    precedence arc ``w -> t`` plus, per other writer ``k`` of the
+    entity, the polygraph choice "``k`` before ``w`` or after ``t``";
+    the polygraph backtracker's propagation then prunes whole order
+    families at once.  This is what makes the Theorem 4/5 instances
+    (dozens of transactions, heavily forced reads) tractable.
+    """
     writers: dict[Entity, list[TxnId]] = {}
     for e in core.entities:
         ws: list[TxnId] = []

@@ -16,7 +16,20 @@ Node = Hashable
 
 
 class Digraph:
-    """Mutable directed graph over hashable nodes."""
+    """Mutable directed graph over hashable nodes.
+
+    Cycle queries run on an incremental topological index (Pearce &
+    Kelly, "A dynamic topological sort algorithm for directed acyclic
+    graphs", JEA 2006): every node holds a distinct integer and every
+    arc runs from a lower to a higher one.  The index is built by one
+    Kahn pass on the first cycle query and then kept up by
+    :meth:`add_arc`, which renumbers only the nodes whose index lies
+    between the new arc's endpoints; removing an arc never invalidates
+    it.  :meth:`would_close_cycle` is O(1) when the index already orders
+    tail before head and otherwise searches only that window.  Inserting
+    a cycle drops the index for good: from then on the graph answers
+    cycle queries with a full depth-first search.
+    """
 
     def __init__(
         self,
@@ -25,6 +38,10 @@ class Digraph:
     ) -> None:
         self._succ: dict[Node, set[Node]] = {}
         self._pred: dict[Node, set[Node]] = {}
+        #: node -> topological index; None until first needed or once
+        #: a cycle has been inserted (``_cyclic`` tells the two apart).
+        self._ord: dict[Node, int] | None = None
+        self._cyclic = False
         for n in nodes:
             self.add_node(n)
         for u, v in arcs:
@@ -33,14 +50,43 @@ class Digraph:
     # -- construction ------------------------------------------------------
 
     def add_node(self, node: Node) -> None:
-        self._succ.setdefault(node, set())
-        self._pred.setdefault(node, set())
+        if node in self._succ:
+            return
+        self._succ[node] = set()
+        self._pred[node] = set()
+        if self._ord is not None:
+            # Indices are always a permutation of range(len(self)).
+            self._ord[node] = len(self._ord)
 
     def add_arc(self, tail: Node, head: Node) -> None:
         self.add_node(tail)
         self.add_node(head)
-        self._succ[tail].add(head)
+        succ = self._succ[tail]
+        if head in succ:
+            return
+        succ.add(head)
         self._pred[head].add(tail)
+        order = self._ord
+        if order is not None and order[tail] >= order[head]:
+            self._reorder(tail, head)
+
+    def add_arcs_if_acyclic(self, arcs: Iterable[tuple[Node, Node]]) -> bool:
+        """Add all of ``arcs`` unless together they would close a cycle.
+
+        All or nothing: on a cycle the arcs added so far are removed
+        again and the graph is left as it was.
+        """
+        added: list[tuple[Node, Node]] = []
+        for tail, head in arcs:
+            if self.has_arc(tail, head):
+                continue
+            if self.would_close_cycle(tail, head):
+                for arc in added:
+                    self.remove_arc(*arc)
+                return False
+            self.add_arc(tail, head)
+            added.append((tail, head))
+        return True
 
     def remove_arc(self, tail: Node, head: Node) -> None:
         self._succ[tail].discard(head)
@@ -48,12 +94,55 @@ class Digraph:
 
     def copy(self) -> "Digraph":
         g = Digraph()
-        for n in self._succ:
-            g.add_node(n)
-        for u, vs in self._succ.items():
-            for v in vs:
-                g.add_arc(u, v)
+        g._succ = {n: set(vs) for n, vs in self._succ.items()}
+        g._pred = {n: set(vs) for n, vs in self._pred.items()}
+        g._ord = None if self._ord is None else dict(self._ord)
+        g._cyclic = self._cyclic
         return g
+
+    # -- topological index -------------------------------------------------
+
+    def _index(self) -> dict[Node, int] | None:
+        """The topological index, built on first use; None if cyclic."""
+        if self._ord is None and not self._cyclic:
+            order = self._kahn()
+            if len(order) == len(self._succ):
+                self._ord = {n: k for k, n in enumerate(order)}
+            else:
+                self._cyclic = True
+        return self._ord
+
+    def _reorder(self, tail: Node, head: Node) -> None:
+        """Restore the index after adding ``tail -> head`` against it.
+
+        Nodes reachable from ``head`` below ``tail``'s index move after
+        the nodes reaching ``tail`` above ``head``'s index, reusing the
+        same index values; reaching ``tail`` itself means a cycle.
+        """
+        order = self._ord
+        low, high = order[head], order[tail]
+        forward = {head}
+        stack = [head]
+        while stack:
+            for nxt in self._succ[stack.pop()]:
+                if nxt == tail:
+                    self._ord = None
+                    self._cyclic = True
+                    return
+                if nxt not in forward and order[nxt] < high:
+                    forward.add(nxt)
+                    stack.append(nxt)
+        backward = {tail}
+        stack = [tail]
+        while stack:
+            for prev in self._pred[stack.pop()]:
+                if prev not in backward and order[prev] > low:
+                    backward.add(prev)
+                    stack.append(prev)
+        moved = sorted(backward, key=order.__getitem__)
+        moved += sorted(forward, key=order.__getitem__)
+        for node, slot in zip(moved, sorted(order[n] for n in moved)):
+            order[node] = slot
 
     # -- queries -------------------------------------------------------------
 
@@ -86,7 +175,13 @@ class Digraph:
     # -- algorithms ----------------------------------------------------------
 
     def has_cycle(self) -> bool:
-        """True iff the graph contains a directed cycle (iterative DFS)."""
+        """True iff the graph contains a directed cycle.
+
+        Answered by the topological index when it exists; a graph into
+        which a cycle was inserted runs an iterative DFS.
+        """
+        if self._index() is not None:
+            return False
         WHITE, GREY, BLACK = 0, 1, 2
         color = dict.fromkeys(self._succ, WHITE)
         for root in self._succ:
@@ -121,21 +216,25 @@ class Digraph:
         Kahn's algorithm with deterministic (insertion-order) tie-breaks so
         results are reproducible across runs.
         """
+        order = self._kahn()
+        if len(order) != len(self._succ):
+            raise ValueError("graph has a cycle; no topological order exists")
+        return order
+
+    def _kahn(self) -> list[Node]:
+        """Kahn's algorithm; the order misses every node on or behind a
+        cycle."""
         indegree = {n: len(self._pred[n]) for n in self._succ}
         queue = [n for n in self._succ if indegree[n] == 0]
-        order: list[Node] = []
         head = 0
         while head < len(queue):
             node = queue[head]
             head += 1
-            order.append(node)
             for nxt in self._succ[node]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     queue.append(nxt)
-        if len(order) != len(self._succ):
-            raise ValueError("graph has a cycle; no topological order exists")
-        return order
+        return queue
 
     def reachable_from(self, source: Node) -> set[Node]:
         """All nodes reachable from ``source`` (including itself)."""
@@ -152,14 +251,33 @@ class Digraph:
     def would_close_cycle(self, tail: Node, head: Node) -> bool:
         """True iff adding ``tail -> head`` would create a cycle.
 
-        Used by the incremental schedulers (SGT and the MVCG scheduler):
-        an arc closes a cycle iff ``tail`` is reachable from ``head``.
+        Used by the incremental schedulers (SGT and the MVCG scheduler)
+        and the polygraph deciders: an arc closes a cycle iff ``tail`` is
+        reachable from ``head``.  Every path from ``head`` to ``tail``
+        climbs the topological index, so only nodes indexed between the
+        two are searched, and none when ``head`` already sits above.
         """
         if tail == head:
             return True
-        if head not in self._succ or tail not in self._succ:
+        succ = self._succ
+        if head not in succ or tail not in succ:
             return False
-        return tail in self.reachable_from(head)
+        order = self._index()
+        if order is None:
+            return tail in self.reachable_from(head)
+        high = order[tail]
+        if order[head] > high:
+            return False
+        seen = {head}
+        stack = [head]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt == tail:
+                    return True
+                if nxt not in seen and order[nxt] < high:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     def find_cycle(self) -> list[Node] | None:
         """Return one directed cycle as a node list, or None if acyclic."""

@@ -52,12 +52,8 @@ class MVCGScheduler(Scheduler):
         new_arcs = [
             (r, txn) for r in self._readers.get(entity, ()) if r != txn
         ]
-        trial = self._graph.copy()
-        for tail, head in new_arcs:
-            trial.add_arc(tail, head)
-        if trial.has_cycle():
+        if not self._graph.add_arcs_if_acyclic(new_arcs):
             return False
-        self._graph = trial
         return True
 
     def version_function(self) -> VersionFunction:
@@ -122,13 +118,10 @@ class EagerMVCGScheduler(Scheduler):
                 assignment: int | str = source_pos
             else:
                 assignment = T_INIT
-            trial = self._graph.copy()
-            for tail, head in new_arcs:
-                if tail != head:
-                    trial.add_arc(tail, head)
-            if trial.has_cycle():
+            if not self._graph.add_arcs_if_acyclic(
+                (tail, head) for tail, head in new_arcs if tail != head
+            ):
                 return False
-            self._graph = trial
             self._readers.setdefault(entity, set()).add(txn)
             self._assignments[position] = assignment
             return True
@@ -136,12 +129,8 @@ class EagerMVCGScheduler(Scheduler):
         new_arcs = [
             (r, txn) for r in self._readers.get(entity, ()) if r != txn
         ]
-        trial = self._graph.copy()
-        for tail, head in new_arcs:
-            trial.add_arc(tail, head)
-        if trial.has_cycle():
+        if not self._graph.add_arcs_if_acyclic(new_arcs):
             return False
-        self._graph = trial
         self._writers.setdefault(entity, []).append((txn, position))
         return True
 

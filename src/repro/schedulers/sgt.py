@@ -46,13 +46,8 @@ class SGTScheduler(Scheduler):
                 entity, []
             )
         new_arcs = [(o, txn) for o in others if o != txn]
-
-        trial = self._graph.copy()
-        for tail, head in new_arcs:
-            trial.add_arc(tail, head)
-        if trial.has_cycle():
+        if not self._graph.add_arcs_if_acyclic(new_arcs):
             return False
-        self._graph = trial
         bucket = self._readers if step.is_read else self._writers
         entry = bucket.setdefault(entity, [])
         if txn not in entry:

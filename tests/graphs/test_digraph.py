@@ -127,3 +127,97 @@ class TestNetworkxCrossCheck:
         g = Digraph(arcs=[(1, 2), (2, 3)])
         nxg = g.to_networkx()
         assert set(nxg.edges()) == {(1, 2), (2, 3)}
+
+
+def _index_is_topological(g: Digraph) -> bool:
+    order = g._ord
+    return sorted(order.values()) == list(range(len(g))) and all(
+        order[u] < order[v] for u, v in g.arcs
+    )
+
+
+def _random_ops(g: Digraph, rng: random.Random, n: int, steps: int,
+                acyclic_only: bool):
+    """Random add/remove interleaving; after each step, every query
+    agrees with plain reachability."""
+    for _ in range(steps):
+        arcs = g.arcs
+        if arcs and rng.random() < 0.3:
+            g.remove_arc(*rng.choice(arcs))
+        else:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if not acyclic_only or not g.would_close_cycle(u, v):
+                g.add_arc(u, v)
+        for tail in range(n):
+            for head in range(n):
+                assert g.would_close_cycle(tail, head) == (
+                    tail in g.reachable_from(head)
+                )
+        yield
+
+
+class TestIncrementalOrder:
+    def test_queries_match_reachability_on_dags(self):
+        rng = random.Random(2)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            g = Digraph(nodes=range(n))
+            for _ in _random_ops(g, rng, n, 30, acyclic_only=True):
+                assert g._ord is not None and _index_is_topological(g)
+                assert g.is_acyclic()
+
+    def test_queries_match_reachability_after_a_cycle(self):
+        rng = random.Random(3)
+        fell_back = 0
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            g = Digraph(nodes=range(n))
+            for _ in _random_ops(g, rng, n, 30, acyclic_only=False):
+                if g._ord is None:
+                    fell_back += 1
+                else:
+                    assert _index_is_topological(g)
+                theirs = nx.DiGraph(g.arcs)
+                theirs.add_nodes_from(range(n))
+                assert g.is_acyclic() == nx.is_directed_acyclic_graph(theirs)
+        assert fell_back > 0
+
+    def test_inserting_a_cycle_drops_the_index(self):
+        g = Digraph(arcs=[(1, 2), (2, 3)])
+        assert not g.would_close_cycle(1, 3)
+        assert g._ord is not None
+        g.add_arc(3, 1)
+        assert g._ord is None and g.has_cycle()
+        g.remove_arc(3, 1)
+        # DFS fallback stays exact once the cycle is gone again.
+        assert g.is_acyclic()
+        assert g.would_close_cycle(3, 1) and not g.would_close_cycle(1, 3)
+
+    def test_reorder_moves_only_the_window(self):
+        g = Digraph(nodes=[1, 2, 3, 4, 5])
+        assert not g.would_close_cycle(4, 2)  # builds the index
+        g.add_arc(4, 2)
+        assert _index_is_topological(g)
+        assert g._ord[1] == 0 and g._ord[5] == 4
+        g.add_arc(6, 1)  # a new node joins the built index at the end
+        assert _index_is_topological(g) and g._ord[6] == 0
+
+    def test_copy_carries_the_index(self):
+        rng = random.Random(4)
+        for acyclic_only in (True, False):
+            g = Digraph(nodes=range(6))
+            for _ in _random_ops(g, rng, 6, 12, acyclic_only=acyclic_only):
+                pass
+            arcs, order, cyclic = g.arcs, dict(g._ord or {}), g._cyclic
+            h = g.copy()
+            assert h._ord == g._ord and h._cyclic == cyclic
+            for _ in _random_ops(h, rng, 6, 12, acyclic_only=acyclic_only):
+                pass
+            assert g.arcs == arcs and dict(g._ord or {}) == order
+
+    def test_add_arcs_if_acyclic_is_all_or_nothing(self):
+        g = Digraph(arcs=[(1, 2), (2, 3)])
+        assert not g.add_arcs_if_acyclic([(0, 1), (3, 1)])
+        assert g.arcs == [(1, 2), (2, 3)]
+        assert g.add_arcs_if_acyclic([(0, 1), (1, 3)])
+        assert g.has_arc(0, 1) and g.has_arc(1, 3) and g.is_acyclic()
